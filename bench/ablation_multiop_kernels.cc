@@ -1,9 +1,12 @@
 // Ablation: multi-operand kernels (CSA sumBSI, lazy union accumulation) vs
-// the legacy pairwise-chain folds, on the workloads the paper's wins reduce
-// to -- the Fig. 6 pre-aggregate sum over N days and the Table 6 per-user
-// multi-day aggregation. Reports time per op AND heap allocation churn per
-// op (this binary replaces global operator new to count every allocation),
-// since the pairwise chain's cost is mostly re-materializing containers.
+// pairwise-chain folds, on the workloads the paper's wins reduce to -- the
+// Fig. 6 pre-aggregate sum over N days and the Table 6 per-user multi-day
+// aggregation. The library has one kernel per operation; the pairwise
+// baseline is the slice-by-slice ripple-carry fold defined below, built
+// only from public RoaringBitmap ops. Reports time per op AND heap
+// allocation churn per op (this binary replaces global operator new to
+// count every allocation), since the pairwise chain's cost is mostly
+// re-materializing containers.
 //
 // Machine-readable output: one BENCHJSON line per measurement,
 //   BENCHJSON {"op": ..., "ns_per_op": ..., "bytes_per_op": ...,
@@ -12,6 +15,7 @@
 
 #include "bench/alloc_counter.h"  // must precede use of new/delete
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -19,12 +23,71 @@
 
 #include "bench/bench_util.h"
 #include "bsi/bsi_aggregate.h"
+#include "common/bit_util.h"
 #include "common/rng.h"
 #include "common/timer.h"
 
 using namespace expbsi;
 
 namespace {
+
+// --- Pairwise baseline ------------------------------------------------------
+
+const RoaringBitmap& SliceOrEmpty(const Bsi& x, int i) {
+  static const RoaringBitmap* empty = new RoaringBitmap();
+  return i < x.num_slices() ? x.slice(i) : *empty;
+}
+
+// Slice-by-slice ripple-carry add with three allocating container ops per
+// slice: sum = x ^ y ^ carry; carry' = (x & y) | ((x ^ y) & carry).
+Bsi AddPairwise(const Bsi& x, const Bsi& y) {
+  if (x.IsEmpty()) return y;
+  if (y.IsEmpty()) return x;
+  const int s = std::max(x.num_slices(), y.num_slices());
+  std::vector<RoaringBitmap> slices;
+  slices.reserve(s + 1);
+  RoaringBitmap carry;
+  for (int i = 0; i < s; ++i) {
+    const RoaringBitmap& xi = SliceOrEmpty(x, i);
+    const RoaringBitmap& yi = SliceOrEmpty(y, i);
+    RoaringBitmap xy = RoaringBitmap::Xor(xi, yi);
+    RoaringBitmap next_carry = RoaringBitmap::Or(
+        RoaringBitmap::And(xi, yi), RoaringBitmap::And(xy, carry));
+    slices.push_back(RoaringBitmap::Xor(xy, carry));
+    carry = std::move(next_carry);
+  }
+  if (!carry.IsEmpty()) slices.push_back(std::move(carry));
+  return Bsi::FromSlices(std::move(slices),
+                         RoaringBitmap::Or(x.existence(), y.existence()));
+}
+
+Bsi SumBsiPairwise(const std::vector<const Bsi*>& inputs) {
+  Bsi acc;
+  for (const Bsi* input : inputs) acc = AddPairwise(acc, *input);
+  return acc;
+}
+
+RoaringBitmap DistinctPosPairwise(const std::vector<const Bsi*>& inputs) {
+  RoaringBitmap out;
+  for (const Bsi* input : inputs) out.OrInPlace(input->existence());
+  return out;
+}
+
+// Shift-add w * X per input, then a pairwise fold of the terms.
+Bsi WeightedSumBsiPairwise(const std::vector<WeightedBsi>& inputs) {
+  Bsi acc;
+  for (const WeightedBsi& input : inputs) {
+    Bsi term;
+    for (uint64_t w = input.weight; w != 0; w &= w - 1) {
+      term = AddPairwise(term,
+                         Bsi::ShiftLeft(*input.bsi, CountTrailingZeros64(w)));
+    }
+    acc = AddPairwise(acc, term);
+  }
+  return acc;
+}
+
+// --- Workloads --------------------------------------------------------------
 
 // Per-day metric BSIs in the Fig. 6 shape: a fraction of users participates
 // each day with a zipf-ish small value.
@@ -61,6 +124,33 @@ std::vector<Bsi> MakeSparseVisitorBsis(uint64_t universe, int days,
       if (rng.NextBernoulli(p)) pairs.emplace_back(pos, 1);
     }
     out.push_back(Bsi::FromPairs(std::move(pairs)));
+  }
+  return out;
+}
+
+// Table 6's metric B workload: the two-day sum of Table 5's sparse metric
+// (about 6.7% of users take part each day, values in (0, 50]) over 16
+// segments of users / 16 positions each, as bench/table5_table6_compute
+// lays it out. At the pinned CI scale every slice is a small array
+// container, so the kernel's per-call cost, not its word passes, decides
+// this row.
+constexpr int kMetricBSegments = 16;
+
+std::vector<std::pair<Bsi, Bsi>> MakeSparseMetricBSegments(uint64_t users) {
+  Rng rng(9002);
+  const auto day = [&rng](uint64_t positions) {
+    std::vector<std::pair<uint32_t, uint64_t>> pairs;
+    for (uint32_t pos = 0; pos < positions; ++pos) {
+      if (rng.NextBernoulli(0.067)) {
+        pairs.emplace_back(pos, 1 + rng.NextBounded(50));
+      }
+    }
+    return Bsi::FromPairs(std::move(pairs));
+  };
+  std::vector<std::pair<Bsi, Bsi>> out;
+  for (int seg = 0; seg < kMetricBSegments; ++seg) {
+    Bsi first = day(users / kMetricBSegments);  // day 1 draws first
+    out.emplace_back(std::move(first), day(users / kMetricBSegments));
   }
   return out;
 }
@@ -119,8 +209,8 @@ int main() {
 
   // The two paths under comparison must agree bit for bit on this exact
   // workload, or the timings below are meaningless.
-  if (!(SumBsiCsa(all_days) == SumBsiPairwise(all_days)) ||
-      !(DistinctPosLazy(all_days) == DistinctPosPairwise(all_days))) {
+  if (!(SumBsi(all_days) == SumBsiPairwise(all_days)) ||
+      !(DistinctPos(all_days) == DistinctPosPairwise(all_days))) {
     std::printf("KERNEL MISMATCH: CSA/lazy disagrees with pairwise!\n");
     return 1;
   }
@@ -130,13 +220,13 @@ int main() {
 
   // N-operand sumBSI, N = 8 (the acceptance-criteria workload) and N = 28.
   const Measurement csa8 =
-      Measure(5, [&] { SumBsiCsa(eight_days).Sum(); });
+      Measure(5, [&] { SumBsi(eight_days).Sum(); });
   Report("sum_bsi_csa_n8", csa8);
   const Measurement pair8 =
       Measure(5, [&] { SumBsiPairwise(eight_days).Sum(); });
   Report("sum_bsi_pairwise_n8", pair8);
 
-  const Measurement csa28 = Measure(3, [&] { SumBsiCsa(all_days).Sum(); });
+  const Measurement csa28 = Measure(3, [&] { SumBsi(all_days).Sum(); });
   Report("sum_bsi_csa_n28", csa28);
   const Measurement pair28 =
       Measure(3, [&] { SumBsiPairwise(all_days).Sum(); });
@@ -146,7 +236,7 @@ int main() {
   // the dense metric existences above and on sparse visitor masks spread
   // over an 8x wider position universe.
   const Measurement lazy =
-      Measure(5, [&] { DistinctPosLazy(all_days).Cardinality(); });
+      Measure(5, [&] { DistinctPos(all_days).Cardinality(); });
   Report("distinct_pos_lazy_n28", lazy);
   const Measurement pairwise_or =
       Measure(5, [&] { DistinctPosPairwise(all_days).Cardinality(); });
@@ -156,12 +246,12 @@ int main() {
       MakeSparseVisitorBsis(users * 8, kDays, 0.015);
   std::vector<const Bsi*> visitor_days;
   for (const Bsi& b : visitors) visitor_days.push_back(&b);
-  if (!(DistinctPosLazy(visitor_days) == DistinctPosPairwise(visitor_days))) {
+  if (!(DistinctPos(visitor_days) == DistinctPosPairwise(visitor_days))) {
     std::printf("KERNEL MISMATCH: lazy union disagrees on sparse masks!\n");
     return 1;
   }
   const Measurement lazy_sparse =
-      Measure(5, [&] { DistinctPosLazy(visitor_days).Cardinality(); });
+      Measure(5, [&] { DistinctPos(visitor_days).Cardinality(); });
   Report("distinct_pos_lazy_sparse_n28", lazy_sparse);
   const Measurement pairwise_sparse =
       Measure(5, [&] { DistinctPosPairwise(visitor_days).Cardinality(); });
@@ -172,12 +262,34 @@ int main() {
   for (int i = 0; i < 8; ++i) {
     weighted.push_back({&days[i], static_cast<uint64_t>(1 + 3 * i)});
   }
+  if (!(WeightedSumBsi(weighted) == WeightedSumBsiPairwise(weighted))) {
+    std::printf("KERNEL MISMATCH: weighted CSA disagrees with pairwise!\n");
+    return 1;
+  }
   const Measurement wcsa =
-      Measure(5, [&] { WeightedSumBsiCsa(weighted).Sum(); });
+      Measure(5, [&] { WeightedSumBsi(weighted).Sum(); });
   Report("weighted_sum_csa_n8", wcsa);
   const Measurement wpair =
       Measure(5, [&] { WeightedSumBsiPairwise(weighted).Sum(); });
   Report("weighted_sum_pairwise_n8", wpair);
+
+  // Two-operand sparse adds in metric B's shape (Bsi::Add is the CSA kernel).
+  const std::vector<std::pair<Bsi, Bsi>> metric_b =
+      MakeSparseMetricBSegments(users);
+  for (const auto& [day1, day2] : metric_b) {
+    if (!(Bsi::Add(day1, day2) == AddPairwise(day1, day2))) {
+      std::printf("KERNEL MISMATCH: CSA add disagrees on sparse metric B!\n");
+      return 1;
+    }
+  }
+  const Measurement add_b = Measure(20, [&] {
+    for (const auto& [day1, day2] : metric_b) Bsi::Add(day1, day2).Sum();
+  });
+  Report("add_csa_sparse_metric_b", add_b);
+  const Measurement add_b_pair = Measure(20, [&] {
+    for (const auto& [day1, day2] : metric_b) AddPairwise(day1, day2).Sum();
+  });
+  Report("add_pairwise_sparse_metric_b", add_b_pair);
 
   std::printf("\nspeedups (pairwise / multi-operand):\n");
   std::printf("  sum n=8:    %5.2fx   sum n=28:  %5.2fx\n",
@@ -191,6 +303,9 @@ int main() {
               pairwise_sparse.bytes_per_op /
                   (lazy_sparse.bytes_per_op > 0 ? lazy_sparse.bytes_per_op
                                                 : 1.0));
+  std::printf("  sparse add n=2 x %d segments (metric B): %5.2fx\n",
+              kMetricBSegments,
+              add_b_pair.ns_per_op / add_b.ns_per_op);
   bench_util::EmitRegistrySnapshot("ablation_multiop_kernels");
   return 0;
 }

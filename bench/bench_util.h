@@ -4,9 +4,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
+
+#include <stdlib.h>  // mkdtemp
 
 #include "bsi/bsi.h"
 #include "common/rng.h"
@@ -141,6 +145,33 @@ inline void EmitRegistrySnapshot(const char* bench_name) {
   std::fwrite(text.data(), 1, text.size(), f);
   std::fclose(f);
 }
+
+// A directory private to one bench run: created with mkdtemp under $TMPDIR
+// (default /tmp) and removed, with everything in it, when the object goes
+// out of scope, so concurrent runs never write into each other's files.
+// path() is empty when the directory could not be created.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& prefix) {
+    const char* tmp = std::getenv("TMPDIR");
+    std::string pattern = std::string(tmp != nullptr && tmp[0] != '\0'
+                                          ? tmp
+                                          : "/tmp") +
+                          "/" + prefix + "XXXXXX";
+    if (mkdtemp(pattern.data()) != nullptr) path_ = std::move(pattern);
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ignored);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 inline void PrintBanner(const char* experiment, const char* paper_shape) {
   std::printf("==============================================================\n");

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/file_io.h"
 #include "common/timer.h"
 #include "expdata/bsi_builder.h"
 #include "expdata/generator.h"
@@ -86,19 +85,12 @@ int main() {
                   static_cast<double>(store.TotalBytes())).c_str(),
               build_wall.ElapsedSeconds());
 
-  const std::string dir = "/tmp/expbsi_bench_snapshot";
-  if (!fileio::CreateDirIfMissing(dir).ok()) {
-    std::fprintf(stderr, "error: cannot create %s\n", dir.c_str());
+  const bench_util::ScopedTempDir run_dir("expbsi_bench_snapshot_");
+  if (run_dir.path().empty()) {
+    std::fprintf(stderr, "error: cannot create a bench directory\n");
     return 1;
   }
-  {
-    const Result<std::vector<std::string>> stale = fileio::ListDir(dir);
-    if (stale.ok()) {
-      for (const std::string& entry : stale.value()) {
-        fileio::RemoveFileIfExists(dir + "/" + entry);
-      }
-    }
-  }
+  const std::string& dir = run_dir.path();
 
   double best_write_ns = 0, best_recover_ns = 0;
   uint64_t bytes_written = 0, bytes_recovered = 0;

@@ -97,8 +97,13 @@ int main() {
               batches.size(),
               bench_util::HumanBytes(static_cast<double>(wal_bytes)).c_str());
 
-  const std::string wal_dir = "/tmp/expbsi_bench_wal";
-  const std::string snap_dir = "/tmp/expbsi_bench_wal_snap";
+  const bench_util::ScopedTempDir run_dir("expbsi_bench_wal_");
+  if (run_dir.path().empty()) {
+    std::fprintf(stderr, "error: cannot create a bench directory\n");
+    return 1;
+  }
+  const std::string wal_dir = run_dir.path() + "/wal";
+  const std::string snap_dir = run_dir.path() + "/snap";
   WalOptions wal_options;  // defaults: 4 MB segments, fsync per append
   IngestOptions ingest_options;
   ingest_options.wal = wal_options;

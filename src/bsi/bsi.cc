@@ -120,45 +120,12 @@ void Bsi::TrimTopSlices() {
 Bsi Bsi::Add(const Bsi& x, const Bsi& y) {
   if (x.IsEmpty()) return y;
   if (y.IsEmpty()) return x;
-  if (GetMultiOpKernel() == MultiOpKernel::kMultiOperand) {
-    // Two-operand sums ride the word-level carry-save kernel: one fused
-    // word pass per input container instead of three allocating container
-    // ops per slice.
-    return SumBsiCsa({&x, &y});
-  }
-  return AddPairwise(x, y);
+  // One fused word pass per input container instead of three allocating
+  // container ops per slice.
+  return SumBsi({&x, &y});
 }
 
 void Bsi::AddInPlace(const Bsi& other) { *this = Add(*this, other); }
-
-Bsi Bsi::AddPairwise(const Bsi& x, const Bsi& y) {
-  // One count per pairwise add (the baseline the CSA kernel beats); slice
-  // work is amortized into a single counted batch, not counted per slice.
-  static obs::Counter& adds = obs::GetCounter("kernel.pairwise_adds");
-  static obs::Counter& slices = obs::GetCounter("kernel.pairwise_slices");
-  adds.Add();
-  if (x.IsEmpty()) return y;
-  if (y.IsEmpty()) return x;
-  const int s = std::max(x.num_slices(), y.num_slices());
-  slices.Add(static_cast<uint64_t>(s));
-  Bsi out;
-  out.slices_.reserve(s + 1);
-  RoaringBitmap carry;
-  for (int i = 0; i < s; ++i) {
-    const RoaringBitmap& xi = SliceOrEmpty(x, i);
-    const RoaringBitmap& yi = SliceOrEmpty(y, i);
-    RoaringBitmap xy = RoaringBitmap::Xor(xi, yi);
-    // sum bit = xi ^ yi ^ carry; carry' = (xi & yi) | ((xi ^ yi) & carry).
-    RoaringBitmap next_carry = RoaringBitmap::Or(
-        RoaringBitmap::And(xi, yi), RoaringBitmap::And(xy, carry));
-    out.slices_.push_back(RoaringBitmap::Xor(xy, carry));
-    carry = std::move(next_carry);
-  }
-  if (!carry.IsEmpty()) out.slices_.push_back(std::move(carry));
-  out.TrimTopSlices();
-  out.existence_ = RoaringBitmap::Or(x.existence_, y.existence_);
-  return out;
-}
 
 Bsi Bsi::Subtract(const Bsi& x, const Bsi& y) {
   if (y.IsEmpty()) return x;
@@ -241,19 +208,9 @@ Bsi Bsi::AddScalar(const Bsi& x, uint64_t k) {
 Bsi Bsi::MultiplyScalar(const Bsi& x, uint64_t k) {
   if (k == 0 || x.IsEmpty()) return Bsi();
   if ((k & (k - 1)) == 0) return ShiftLeft(x, CountTrailingZeros64(k));
-  if (GetMultiOpKernel() == MultiOpKernel::kMultiOperand) {
-    // One carry-save pass over all shifted copies at once, instead of
-    // popcount(k) - 1 full adds that each reallocate the accumulator.
-    return WeightedSumBsiCsa({{&x, k}});
-  }
-  Bsi acc;
-  uint64_t bits = k;
-  while (bits != 0) {
-    const int bit = CountTrailingZeros64(bits);
-    acc = AddPairwise(acc, ShiftLeft(x, bit));
-    bits &= bits - 1;
-  }
-  return acc;
+  // One carry-save pass over all shifted copies at once, instead of
+  // popcount(k) - 1 full adds that each reallocate the accumulator.
+  return WeightedSumBsi({{&x, k}});
 }
 
 Bsi Bsi::ShiftLeft(const Bsi& x, int bits) {
@@ -267,72 +224,49 @@ Bsi Bsi::ShiftLeft(const Bsi& x, int bits) {
   return out;
 }
 
-namespace {
-
-// The comparison family dispatches on the same flag as the aggregate
-// kernels: word-level by default, legacy pairwise as the differential foil.
-bool UseWordCompare() {
-  return GetMultiOpKernel() == MultiOpKernel::kMultiOperand;
-}
-
-RoaringBitmap DispatchCompare(const Bsi& x, const Bsi& y,
-                              bsi_compare::CmpOp op) {
-  return UseWordCompare() ? bsi_compare::CompareWord(x, y, op)
-                          : bsi_compare::ComparePairwise(x, y, op);
-}
-
-RoaringBitmap DispatchRange(const Bsi& x, bsi_compare::RangeOp op,
-                            uint64_t k) {
-  return UseWordCompare() ? bsi_compare::RangeWord(x, op, k)
-                          : bsi_compare::RangePairwise(x, op, k);
-}
-
-}  // namespace
-
 RoaringBitmap Bsi::Lt(const Bsi& x, const Bsi& y) {
-  return DispatchCompare(x, y, bsi_compare::CmpOp::kLt);
+  return bsi_compare::Compare(x, y, bsi_compare::CmpOp::kLt);
 }
 
 RoaringBitmap Bsi::Eq(const Bsi& x, const Bsi& y) {
-  return DispatchCompare(x, y, bsi_compare::CmpOp::kEq);
+  return bsi_compare::Compare(x, y, bsi_compare::CmpOp::kEq);
 }
 
 RoaringBitmap Bsi::Ne(const Bsi& x, const Bsi& y) {
-  return DispatchCompare(x, y, bsi_compare::CmpOp::kNe);
+  return bsi_compare::Compare(x, y, bsi_compare::CmpOp::kNe);
 }
 
 RoaringBitmap Bsi::Le(const Bsi& x, const Bsi& y) {
-  return DispatchCompare(x, y, bsi_compare::CmpOp::kLe);
+  return bsi_compare::Compare(x, y, bsi_compare::CmpOp::kLe);
 }
 
 RoaringBitmap Bsi::RangeEq(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kEq, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kEq, k);
 }
 
 RoaringBitmap Bsi::RangeNe(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kNe, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kNe, k);
 }
 
 RoaringBitmap Bsi::RangeLt(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kLt, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kLt, k);
 }
 
 RoaringBitmap Bsi::RangeLe(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kLe, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kLe, k);
 }
 
 RoaringBitmap Bsi::RangeGt(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kGt, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kGt, k);
 }
 
 RoaringBitmap Bsi::RangeGe(uint64_t k) const {
-  return DispatchRange(*this, bsi_compare::RangeOp::kGe, k);
+  return bsi_compare::Range(*this, bsi_compare::RangeOp::kGe, k);
 }
 
 RoaringBitmap Bsi::RangeBetween(uint64_t lo, uint64_t hi) const {
   CHECK_LE(lo, hi);
-  return UseWordCompare() ? bsi_compare::RangeBetweenWord(*this, lo, hi)
-                          : bsi_compare::RangeBetweenPairwise(*this, lo, hi);
+  return bsi_compare::RangeBetween(*this, lo, hi);
 }
 
 uint64_t Bsi::Sum() const {
@@ -345,6 +279,9 @@ uint64_t Bsi::Sum() const {
 }
 
 uint64_t Bsi::SumUnderMask(const RoaringBitmap& mask) const {
+  // One batched add per call, like SumBsi: every slice is intersected.
+  static obs::Counter& m_slices = obs::GetCounter("kernel.sum_slices_touched");
+  m_slices.Add(slices_.size());
   unsigned __int128 total = 0;
   for (size_t i = 0; i < slices_.size(); ++i) {
     total += static_cast<unsigned __int128>(

@@ -22,16 +22,6 @@ constexpr size_t kWords = WordOps::kWords;
 // produced the (small) position set in the first place.
 constexpr int kSparseCompareMax = 512;
 
-// Shared empty bitmap for "slice beyond the top" accesses (pairwise path).
-const RoaringBitmap& EmptyBitmap() {
-  static const RoaringBitmap* empty = new RoaringBitmap();
-  return *empty;
-}
-
-const RoaringBitmap& SliceOrEmpty(const Bsi& x, int i) {
-  return i < x.num_slices() ? x.slice(i) : EmptyBitmap();
-}
-
 // Monotone cursor over one BSI's slice container lists: At(s, key) returns
 // the container of slice s in chunk `key` (or nullptr), amortized O(1) as
 // long as keys are requested in ascending order. This is how the word
@@ -120,7 +110,7 @@ struct CompareCounters {
 
 }  // namespace
 
-RoaringBitmap CompareWord(const Bsi& x, const Bsi& y, CmpOp op) {
+RoaringBitmap Compare(const Bsi& x, const Bsi& y, CmpOp op) {
   RoaringBitmap out;
   if (x.IsEmpty() || y.IsEmpty()) return out;
   const WordOps& ops = ActiveWordOps();
@@ -256,58 +246,7 @@ RoaringBitmap CompareWord(const Bsi& x, const Bsi& y, CmpOp op) {
   return out;
 }
 
-RoaringBitmap ComparePairwise(const Bsi& x, const Bsi& y, CmpOp op) {
-  switch (op) {
-    case CmpOp::kLt: {
-      // Algorithm 1, ascending slices:
-      //   L <- [(Y^i OR L) ANDNOT X^i] OR (Y^i AND L)
-      const int s = std::max(x.num_slices(), y.num_slices());
-      RoaringBitmap lt;
-      for (int i = 0; i < s; ++i) {
-        const RoaringBitmap& xi = SliceOrEmpty(x, i);
-        const RoaringBitmap& yi = SliceOrEmpty(y, i);
-        RoaringBitmap keep = RoaringBitmap::And(yi, lt);
-        RoaringBitmap gain =
-            RoaringBitmap::AndNot(RoaringBitmap::Or(yi, lt), xi);
-        lt = RoaringBitmap::Or(gain, keep);
-      }
-      lt.AndInPlace(x.existence());
-      lt.AndInPlace(y.existence());
-      return lt;
-    }
-    case CmpOp::kLe: {
-      RoaringBitmap both =
-          RoaringBitmap::And(x.existence(), y.existence());
-      both.AndNotInPlace(ComparePairwise(y, x, CmpOp::kLt));
-      return both;
-    }
-    case CmpOp::kEq: {
-      // Algorithm 2: start from X's existence, peel off differing slices.
-      RoaringBitmap eq = x.existence();
-      const int s = std::max(x.num_slices(), y.num_slices());
-      for (int i = 0; i < s && !eq.IsEmpty(); ++i) {
-        eq.AndNotInPlace(
-            RoaringBitmap::Xor(SliceOrEmpty(x, i), SliceOrEmpty(y, i)));
-      }
-      return eq;
-    }
-    case CmpOp::kNe: {
-      // Algorithm 3: OR of slice XORs, restricted to both-present positions.
-      RoaringBitmap ne;
-      const int s = std::max(x.num_slices(), y.num_slices());
-      for (int i = 0; i < s; ++i) {
-        ne.OrInPlace(
-            RoaringBitmap::Xor(SliceOrEmpty(x, i), SliceOrEmpty(y, i)));
-      }
-      ne.AndInPlace(x.existence());
-      ne.AndInPlace(y.existence());
-      return ne;
-    }
-  }
-  return RoaringBitmap();
-}
-
-RoaringBitmap RangeWord(const Bsi& x, RangeOp op, uint64_t k) {
+RoaringBitmap Range(const Bsi& x, RangeOp op, uint64_t k) {
   RoaringBitmap out;
   if (x.IsEmpty()) return out;
   if (k == 0) {
@@ -441,86 +380,14 @@ RoaringBitmap RangeWord(const Bsi& x, RangeOp op, uint64_t k) {
   return out;
 }
 
-namespace {
-
-// Shared top-down scan for the legacy constant comparisons: partitions the
-// present positions of x into {value < k}, {value == k}, {value > k}.
-struct ScalarCompareResult {
-  RoaringBitmap lt;
-  RoaringBitmap eq;
-  RoaringBitmap gt;
-};
-
-ScalarCompareResult ScalarCompare(const Bsi& x, uint64_t k) {
-  ScalarCompareResult r;
-  r.eq = x.existence();
-  const int top = std::max(x.num_slices(), BitWidth64(k));
-  for (int i = top - 1; i >= 0 && !r.eq.IsEmpty(); --i) {
-    const RoaringBitmap& si = SliceOrEmpty(x, i);
-    if (((k >> i) & 1) != 0) {
-      r.lt.OrInPlace(RoaringBitmap::AndNot(r.eq, si));
-      r.eq.AndInPlace(si);
-    } else {
-      r.gt.OrInPlace(RoaringBitmap::And(r.eq, si));
-      r.eq.AndNotInPlace(si);
-    }
-  }
-  return r;
-}
-
-}  // namespace
-
-RoaringBitmap RangePairwise(const Bsi& x, RangeOp op, uint64_t k) {
-  switch (op) {
-    case RangeOp::kEq: {
-      if (k == 0) return RoaringBitmap();  // zero means absent
-      return ScalarCompare(x, k).eq;
-    }
-    case RangeOp::kNe: {
-      if (k == 0) return x.existence();
-      RoaringBitmap out = x.existence();
-      out.AndNotInPlace(ScalarCompare(x, k).eq);
-      return out;
-    }
-    case RangeOp::kLt: {
-      if (k == 0) return RoaringBitmap();
-      return ScalarCompare(x, k).lt;
-    }
-    case RangeOp::kLe: {
-      if (k == 0) return RoaringBitmap();
-      ScalarCompareResult r = ScalarCompare(x, k);
-      r.lt.OrInPlace(r.eq);
-      return std::move(r.lt);
-    }
-    case RangeOp::kGt: {
-      if (k == 0) return x.existence();
-      return ScalarCompare(x, k).gt;
-    }
-    case RangeOp::kGe: {
-      if (k == 0) return x.existence();
-      ScalarCompareResult r = ScalarCompare(x, k);
-      r.gt.OrInPlace(r.eq);
-      return std::move(r.gt);
-    }
-  }
-  return RoaringBitmap();
-}
-
-RoaringBitmap RangeBetweenPairwise(const Bsi& x, uint64_t lo, uint64_t hi) {
-  // The legacy double scan: two full ScalarCompare passes plus an AND.
-  RoaringBitmap out = RangePairwise(x, RangeOp::kGe, lo);
-  out.AndInPlace(RangePairwise(x, RangeOp::kLe, hi));
-  return out;
-}
-
-RoaringBitmap RangeBetweenWord(const Bsi& x, uint64_t lo, uint64_t hi) {
+RoaringBitmap RangeBetween(const Bsi& x, uint64_t lo, uint64_t hi) {
   RoaringBitmap out;
   if (x.IsEmpty() || hi == 0) return out;
   // Degenerate bounds collapse to a single-sided scan.
-  if (lo <= 1) return RangeWord(x, RangeOp::kLe, hi);  // values are >= 1
+  if (lo <= 1) return Range(x, RangeOp::kLe, hi);  // values are >= 1
   const int s = x.num_slices();
   if (BitWidth64(lo) > s) return out;  // no value reaches lo
-  if (BitWidth64(hi) > s) return RangeWord(x, RangeOp::kGe, lo);
+  if (BitWidth64(hi) > s) return Range(x, RangeOp::kGe, lo);
 
   const WordOps& ops = ActiveWordOps();
   SliceCursor cur(x);

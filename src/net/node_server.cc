@@ -69,13 +69,13 @@ void NodeServer::Stop() {
   stop_.store(true, std::memory_order_release);
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  std::vector<std::thread> handlers;
+  std::list<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
     handlers.swap(handlers_);
   }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
+  for (Handler& h : handlers) {
+    if (h.thread.joinable()) h.thread.join();
   }
 }
 
@@ -93,10 +93,19 @@ void NodeServer::AcceptLoop() {
       if (d.fail || d.crash) continue;  // connection dropped at accept
     }
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    handlers_.emplace_back(
-        [this, c = std::move(conn).value()]() mutable {
-          HandleConnection(std::move(c));
-        });
+    for (auto it = handlers_.begin(); it != handlers_.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = handlers_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    Handler& h = handlers_.emplace_back();
+    h.thread = std::thread([this, &h, c = std::move(conn).value()]() mutable {
+      HandleConnection(std::move(c));
+      h.done.store(true, std::memory_order_release);
+    });
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -118,9 +119,19 @@ class NodeServer {
   // steady_clock nanos of the last query admission; Drain's quiescence test.
   std::atomic<int64_t> last_query_ns_{0};
 
+  // One per accepted connection. The thread sets `done` as its last act,
+  // and the accept loop joins and drops finished handlers before spawning
+  // the next one, so exited threads (and their stacks) do not pile up over
+  // a long run of short-lived connections. A list keeps each handler's
+  // address stable for the thread that flags it.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   std::thread accept_thread_;
   std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
+  std::list<Handler> handlers_;
 };
 
 }  // namespace net

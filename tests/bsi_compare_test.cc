@@ -226,11 +226,9 @@ TEST(BsiCompareBasic, MixedDenseSparseContainers) {
             expected([](uint64_t a, uint64_t b) { return b < a; }));
 }
 
-// The word kernels and the legacy pairwise path are interchangeable: force
-// each via the MultiOpKernel flag and require identical bitmaps on a
-// workload with planted equalities and cross-slice differences.
-TEST(BsiCompareBasic, WordAndPairwiseKernelsAgree) {
-  const MultiOpKernel saved = GetMultiOpKernel();
+// Lt/Eq/Ne/Le and RangeBetween on a workload with planted equalities and
+// cross-slice differences, against sets computed directly from the values.
+TEST(BsiCompareBasic, PlantedEqualitiesMatchExpectedSets) {
   Rng rng(123);
   ValueMap mx = RandomValueMap(rng, 6000, 50000, 64);
   ValueMap my = RandomValueMap(rng, 6000, 50000, 64);
@@ -242,19 +240,29 @@ TEST(BsiCompareBasic, WordAndPairwiseKernelsAgree) {
   Bsi x = Bsi::FromPairs(ToPairVector(mx));
   Bsi y = Bsi::FromPairs(ToPairVector(my));
 
-  SetMultiOpKernel(MultiOpKernel::kMultiOperand);
-  const RoaringBitmap lt_w = Bsi::Lt(x, y);
-  const RoaringBitmap eq_w = Bsi::Eq(x, y);
-  const RoaringBitmap ne_w = Bsi::Ne(x, y);
-  const RoaringBitmap le_w = Bsi::Le(x, y);
-  const RoaringBitmap rb_w = x.RangeBetween(10, 40);
-  SetMultiOpKernel(MultiOpKernel::kPairwise);
-  EXPECT_TRUE(Bsi::Lt(x, y).Equals(lt_w));
-  EXPECT_TRUE(Bsi::Eq(x, y).Equals(eq_w));
-  EXPECT_TRUE(Bsi::Ne(x, y).Equals(ne_w));
-  EXPECT_TRUE(Bsi::Le(x, y).Equals(le_w));
-  EXPECT_TRUE(x.RangeBetween(10, 40).Equals(rb_w));
-  SetMultiOpKernel(saved);
+  const auto expected = [&](auto pred) {
+    std::set<uint32_t> out;
+    for (const auto& [pos, xv] : mx) {
+      auto it = my.find(pos);
+      if (it != my.end() && pred(xv, it->second)) out.insert(pos);
+    }
+    return out;
+  };
+  const std::set<uint32_t> eq =
+      expected([](uint64_t a, uint64_t b) { return a == b; });
+  ASSERT_FALSE(eq.empty());
+  EXPECT_EQ(ToSet(Bsi::Lt(x, y)),
+            expected([](uint64_t a, uint64_t b) { return a < b; }));
+  EXPECT_EQ(ToSet(Bsi::Eq(x, y)), eq);
+  EXPECT_EQ(ToSet(Bsi::Ne(x, y)),
+            expected([](uint64_t a, uint64_t b) { return a != b; }));
+  EXPECT_EQ(ToSet(Bsi::Le(x, y)),
+            expected([](uint64_t a, uint64_t b) { return a <= b; }));
+  std::set<uint32_t> between;
+  for (const auto& [pos, v] : mx) {
+    if (10 <= v && v <= 40) between.insert(pos);
+  }
+  EXPECT_EQ(ToSet(x.RangeBetween(10, 40)), between);
 }
 
 TEST(BsiRangeEdge, PaperFilterExample) {

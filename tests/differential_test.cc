@@ -327,8 +327,8 @@ void RunColumnOpsIteration(uint64_t seed) {
                        }(),
                        ctx + " DistinctPos");
 
-  // Multi-operand kernels: the CSA sum, the lazy union accumulator, and the
-  // legacy pairwise folds must all agree with a scalar fold over N inputs.
+  // Multi-operand kernels: the CSA sum, the weighted CSA sum and the lazy
+  // union accumulator must agree with a scalar fold over N inputs.
   {
     const int n = 2 + static_cast<int>(rng.NextBounded(7));  // 2..8 operands
     std::vector<Bsi> cols;
@@ -348,12 +348,8 @@ void RunColumnOpsIteration(uint64_t seed) {
 
     RefColumn ref_sum;
     for (const RefColumn& r : ref_cols) ref_sum = RefColumn::Add(ref_sum, r);
-    ExpectColumnsEqual(SumBsiCsa(inputs), ref_sum,
-                       ctx + " SumBsiCsa n=" + std::to_string(n));
-    ExpectColumnsEqual(SumBsiPairwise(inputs), ref_sum,
-                       ctx + " SumBsiPairwise n=" + std::to_string(n));
     ExpectColumnsEqual(SumBsi(inputs), ref_sum,
-                       ctx + " SumBsi dispatch n=" + std::to_string(n));
+                       ctx + " SumBsi n=" + std::to_string(n));
 
     // Weighted sum: weights up to 2^8 keep the total far below 64 bits.
     std::vector<WeightedBsi> weighted;
@@ -364,10 +360,8 @@ void RunColumnOpsIteration(uint64_t seed) {
       ref_weighted = RefColumn::Add(
           ref_weighted, RefColumn::MultiplyScalar(ref_cols[i], w));
     }
-    ExpectColumnsEqual(WeightedSumBsiCsa(weighted), ref_weighted,
-                       ctx + " WeightedSumBsiCsa");
-    ExpectColumnsEqual(WeightedSumBsiPairwise(weighted), ref_weighted,
-                       ctx + " WeightedSumBsiPairwise");
+    ExpectColumnsEqual(WeightedSumBsi(weighted), ref_weighted,
+                       ctx + " WeightedSumBsi");
 
     RefPositions ref_union;
     for (const RefColumn& r : ref_cols) {
@@ -377,10 +371,8 @@ void RunColumnOpsIteration(uint64_t seed) {
                      std::back_inserter(merged));
       ref_union = std::move(merged);
     }
-    ExpectPositionsEqual(DistinctPosLazy(inputs), ref_union,
-                         ctx + " DistinctPosLazy");
-    ExpectPositionsEqual(DistinctPosPairwise(inputs), ref_union,
-                         ctx + " DistinctPosPairwise");
+    ExpectPositionsEqual(DistinctPos(inputs), ref_union,
+                         ctx + " DistinctPos n=" + std::to_string(n));
   }
 
   // Galloping intersect: skewed array-array workloads where one side is far
@@ -461,37 +453,26 @@ void RunCompareIteration(uint64_t seed, const std::string& label) {
 }
 
 // Forces each dispatch tier the host supports (portable always runs; AVX2 /
-// AVX-512 only where detected -- CI hosts without them skip those legs) and
-// both compare kernels, so the word path, the legacy pairwise path, and
-// every SIMD variant all face the same oracle.
-TEST(DifferentialTest, CompareKernelsAcrossKernelAndSimdTiers) {
-  const MultiOpKernel saved_kernel = GetMultiOpKernel();
+// AVX-512 only where detected -- CI hosts without them skip those legs), so
+// every SIMD variant of the compare kernels faces the same oracle.
+TEST(DifferentialTest, CompareKernelsAcrossSimdTiers) {
   const SimdTier saved_tier = ActiveSimdTier();
   const int max_tier = static_cast<int>(DetectedSimdTier());
   for (int t = 0; t <= max_tier; ++t) {
     const SimdTier tier = static_cast<SimdTier>(t);
     SetSimdTierForTesting(tier);
-    for (const MultiOpKernel kernel :
-         {MultiOpKernel::kMultiOperand, MultiOpKernel::kPairwise}) {
-      SetMultiOpKernel(kernel);
-      const std::string label =
-          std::string(SimdTierName(tier)) + "/" +
-          (kernel == MultiOpKernel::kMultiOperand ? "word" : "pairwise");
-      // Distinct bases per combination: each leg explores its own seeds on
-      // top of the shared corpus replay.
-      const uint64_t base = 0xC04Bull ^ (static_cast<uint64_t>(t) << 8) ^
-                            static_cast<uint64_t>(kernel);
-      for (const uint64_t seed : SeedSchedule(base, 12)) {
-        RunCompareIteration(seed, label);
-        if (HasFatalFailure()) {
-          SetMultiOpKernel(saved_kernel);
-          SetSimdTierForTesting(saved_tier);
-          return;
-        }
+    const std::string label = SimdTierName(tier);
+    // Distinct bases per tier: each leg explores its own seeds on top of
+    // the shared corpus replay.
+    const uint64_t base = 0xC04Bull ^ (static_cast<uint64_t>(t) << 8);
+    for (const uint64_t seed : SeedSchedule(base, 12)) {
+      RunCompareIteration(seed, label);
+      if (HasFatalFailure()) {
+        SetSimdTierForTesting(saved_tier);
+        return;
       }
     }
   }
-  SetMultiOpKernel(saved_kernel);
   SetSimdTierForTesting(saved_tier);
 }
 

@@ -8,6 +8,7 @@
 // in net_process_test.cc.
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -495,6 +496,56 @@ TEST_F(NetServingTest, PingPong) {
   ASSERT_TRUE(pong.ok()) << pong.status().ToString();
   EXPECT_EQ(pong.value().type, wire::MsgType::kPong);
   EXPECT_EQ(pong.value().request_id, 77u);
+  node.Stop();
+}
+
+// Lines in /proc/self/maps. An exited thread that was never joined leaves
+// no /proc task entry, but its stack and guard page stay mapped, so this is
+// where a handler-thread leak shows.
+int CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  int n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+// The coordinator dials a fresh connection per RPC, so a serving node sees
+// a long run of short connections. Finished handler threads must be joined
+// as the run goes, not kept until Stop().
+TEST(NodeServerReapTest, SequentialConnectionsDoNotAccumulateThreads) {
+  BsiStore cold;
+  net::NodeServer node(&cold, net::NodeServerOptions{});
+  ASSERT_TRUE(node.Start().ok());
+  const auto ping_once = [&node](uint64_t id) {
+    const net::Deadline deadline = net::Deadline::After(5.0);
+    Result<net::Socket> sock = net::Connect(node.port(), deadline);
+    ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+    wire::Envelope ping;
+    ping.type = wire::MsgType::kPing;
+    ping.request_id = id;
+    ASSERT_TRUE(net::SendEnvelope(sock.value(), ping, deadline, nullptr).ok());
+    Result<wire::Envelope> pong = net::RecvEnvelope(sock.value(), deadline, id);
+    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+    ASSERT_EQ(pong.value().type, wire::MsgType::kPong);
+  };
+  // Warm-up: allocator arenas and the thread-stack cache settle first.
+  uint64_t id = 1;
+  for (; id <= 50; ++id) {
+    ping_once(id);
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  const int before = CountMappings();
+  constexpr int kConnections = 1000;
+  for (int i = 0; i < kConnections; ++i, ++id) {
+    ping_once(id);
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  const int growth = CountMappings() - before;
+  // A leaked handler costs about two mappings (stack + guard page), so a
+  // leak reads ~2000 here; reaped handlers reuse cached stacks.
+  EXPECT_LT(growth, kConnections / 10)
+      << "mappings grew by " << growth << " over " << kConnections
+      << " sequential connections";
   node.Stop();
 }
 

@@ -354,6 +354,13 @@ TEST(MetricsOverheadTest, SumBsiKernelPublishesBatchedCounts) {
   // ratio would collapse.
   EXPECT_GT(words_delta / calls_delta, 32u)
       << "kernel publishes too often relative to work per call";
+
+  // The masked sum (the served-scorecard hot path) counts the slices it
+  // intersects in the same batched counter: exactly one add per call.
+  const uint64_t masked_before = slices.Value();
+  EXPECT_GT(sum.SumUnderMask(days[0].existence()), 0u);
+  EXPECT_EQ(slices.Value() - masked_before,
+            static_cast<uint64_t>(sum.num_slices()));
 }
 
 // ---------------------------------------------------------------------------
